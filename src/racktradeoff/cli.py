@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .config import SystemConfig, load_config, parse_and_validate
-from .errors import InvalidConfig, SchemaError
+from .errors import EnumerationTooLarge, InvalidConfig, SchemaError
 from .flowgraph import verify
 from .threshold import (
     ThresholdCurve,
@@ -308,6 +308,9 @@ def run(argv: Sequence[str]) -> int:
     except (SchemaError, InvalidConfig) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EnumerationTooLarge as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -2,8 +2,9 @@
 
 The analytic machinery predicts the minimum source-to-collector mincut over
 all failure scenarios. This module checks that prediction independently: it
-materializes explicit flow graphs for enumerated scenarios, computes exact
-min cuts via integer-scaled max-flow, and minimizes over scenarios.
+materializes explicit flow graphs for enumerated scenarios, contracts their
+unbounded arcs, computes exact min cuts via integer-scaled max-flow, and
+minimizes over scenarios.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Hashable, Iterator, Mapping, Optional, Sequence
 
 from .config import SystemConfig
 from .errors import Disconnected, EnumerationTooLarge, InvalidScenario
@@ -41,8 +42,8 @@ __all__ = [
     "verify",
 ]
 
-# Arc capacity kinds in scenario templates.
-_INF, _ALPHA, _CHEAP, _EXP = 0, 1, 2, 3
+# Arc capacity kinds in scenario templates; None marks an unbounded arc.
+_INF, _ALPHA, _CHEAP, _EXP = None, 1, 2, 3
 
 _EXHAUSTIVE_MAX_NODES = 8
 _EXHAUSTIVE_MAX_K = 4
@@ -209,49 +210,110 @@ def _dinic(num_vertices: int, arcs: Sequence[tuple[int, int, int]], s: int, t: i
             flow += pushed
 
 
-def _min_cut_of_template(
-    num_vertices: int,
-    template: Sequence[tuple[int, int, int]],
-    alpha: Fraction,
-    beta_e: Fraction,
-    tau: Fraction,
+def _closure(adj: Sequence[Sequence[int]], start: int) -> set[int]:
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for v in adj[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+# A graph for `_max_flow`: vertex count and arcs (u, v, ((label, count), ...)),
+# source 0 and sink 1 unless stated otherwise.
+_LabelledGraph = tuple[int, list[tuple[int, int, tuple[tuple[Hashable, int], ...]]]]
+
+
+def _contract(
+    num_vertices: int, arcs: Sequence[tuple[int, int, Hashable]], source: int, sink: int
+) -> Optional[_LabelledGraph]:
+    """Exact reduction of a max-flow instance whose unbounded arcs have label None.
+
+    Every vertex the source reaches over unbounded arcs lies on the source
+    side of every finite cut, and every vertex that reaches the sink over
+    unbounded arcs lies on the sink side, so each set is merged into its
+    terminal. Self-loops, arcs into the source and arcs out of the sink can
+    then cross no cut and are dropped; parallel arcs become one arc with a
+    count per label. The result has source 0, sink 1 and the same max-flow
+    value. None means the source reaches the sink over unbounded arcs alone,
+    so no finite cut exists.
+    """
+    forward: list[list[int]] = [[] for _ in range(num_vertices)]
+    backward: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v, label in arcs:
+        if label is None:
+            forward[u].append(v)
+            backward[v].append(u)
+    source_side = _closure(forward, source)
+    if sink in source_side:
+        return None
+    index = [-1] * num_vertices
+    for v in source_side:
+        index[v] = 0
+    for v in _closure(backward, sink):
+        index[v] = 1
+    count = 2
+    merged: dict[tuple[int, int], dict[Hashable, int]] = {}
+    for u, v, label in arcs:
+        for w in (u, v):
+            if index[w] < 0:
+                index[w] = count
+                count += 1
+        a, b = index[u], index[v]
+        if a == b or a == 1 or b == 0:
+            continue
+        labels = merged.setdefault((a, b), {})
+        labels[label] = labels.get(label, 0) + 1
+    return count, [(a, b, tuple(labels.items())) for (a, b), labels in merged.items()]
+
+
+def _max_flow(
+    graph: _LabelledGraph,
+    weights: Mapping[Hashable, Fraction],
+    source: int = 0,
+    sink: int = 1,
 ) -> Fraction:
-    weights = {_ALPHA: alpha, _CHEAP: tau * beta_e, _EXP: beta_e}
-    scale = math.lcm(*(weights[k].denominator for k in weights))
-    int_weights = {k: int(w * scale) for k, w in weights.items()}
-    finite_total = sum(int_weights[kind] for _, _, kind in template if kind != _INF)
-    int_weights[_INF] = finite_total + 1
-    arcs = [(u, v, int_weights[kind]) for u, v, kind in template]
-    return Fraction(_dinic(num_vertices, arcs, 0, 1), scale)
+    """Exact max-flow value with each arc's capacity the weighted sum of its labels.
+
+    Weights are scaled to integers by the LCM of their denominators. An arc
+    with an unbounded label (None) gets a finite surrogate exceeding the sum
+    of all finite capacities, which no minimum cut crosses when a finite cut
+    exists.
+    """
+    num_vertices, arcs = graph
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    ints = {label: int(w * scale) for label, w in weights.items()}
+    caps = [
+        None if any(label is None for label, _ in labels) else sum(ints[label] * n for label, n in labels)
+        for _, _, labels in arcs
+    ]
+    surrogate = sum(c for c in caps if c is not None) + 1
+    int_arcs = [(u, v, surrogate if c is None else c) for (u, v, _), c in zip(arcs, caps)]
+    return Fraction(_dinic(num_vertices, int_arcs, source, sink), scale)
 
 
 def min_cut_value(graph: FlowGraph) -> Fraction:
     """Exact max-flow value from source to collector.
 
-    Unbounded arcs get a finite surrogate exceeding the sum of all finite
-    capacities, which no minimum cut can cross.
+    Unbounded arcs are contracted away first (`_contract`). If the source
+    reaches the collector over unbounded arcs alone, the flow is taken on the
+    explicit graph with every unbounded arc at a finite surrogate exceeding
+    the sum of all finite capacities.
     """
-    reachable = {graph.source}
-    frontier = [graph.source]
-    adj: dict[int, list[int]] = {}
+    adj: list[list[int]] = [[] for _ in range(graph.num_vertices)]
     for u, v, _ in graph.arcs:
-        adj.setdefault(u, []).append(v)
-    while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, ()):
-            if v not in reachable:
-                reachable.add(v)
-                frontier.append(v)
-    if graph.sink not in reachable:
+        adj[u].append(v)
+    if graph.sink not in _closure(adj, graph.source):
         raise Disconnected("no path from source to collector")
 
-    finite = [c for _, _, c in graph.arcs if c is not None]
-    scale = math.lcm(*(c.denominator for c in finite)) if finite else 1
-    surrogate = sum(int(c * scale) for c in finite) + 1
-    arcs = [
-        (u, v, surrogate if c is None else int(c * scale)) for u, v, c in graph.arcs
-    ]
-    return Fraction(_dinic(graph.num_vertices, arcs, graph.source, graph.sink), scale)
+    weights = {c: c for _, _, c in graph.arcs if c is not None}
+    contracted = _contract(graph.num_vertices, graph.arcs, graph.source, graph.sink)
+    if contracted is not None:
+        return _max_flow(contracted, weights)
+    explicit = [(u, v, ((c, 1),)) for u, v, c in graph.arcs]
+    return _max_flow((graph.num_vertices, explicit), weights, graph.source, graph.sink)
 
 
 def _rack_ranges(cfg: SystemConfig) -> list[range]:
@@ -415,13 +477,18 @@ def exhaustive_scenarios(cfg: SystemConfig) -> Iterator[Scenario]:
         yield from walk(0, tuple(tuple(rng) for rng in ranges), frozenset(), tuple(() for _ in range(r)), (), ())
 
 
-def _scenario_templates(cfg: SystemConfig, mode: str) -> list[tuple[Scenario, list[tuple[int, int, int]]]]:
-    """Arc templates for a mode, deduplicated by helper-count profile.
+def _scenario_templates(cfg: SystemConfig, mode: str) -> list[tuple[Scenario, _LabelledGraph]]:
+    """Contracted arc templates for a mode, deduplicated by helper-count profile.
 
     With uncapped originals the mincut depends only on how many original
     (as opposed to newcomer) helpers each newcomer has on each side, so
     scenarios sharing that profile share their mincut at every (alpha, beta).
     The first scenario in enumeration order represents each profile.
+
+    Contraction merges the originals into the source and every newcomer's
+    outer vertex into the collector, which leaves newcomer t's inner vertex
+    with one arc in (its original helpers, counted per kind) and its alpha
+    arc out: k + 2 vertices and at most 2k arcs.
     """
     if mode == "structured":
         scenarios: Iterator[Scenario] = structured_scenarios(cfg)
@@ -430,7 +497,8 @@ def _scenario_templates(cfg: SystemConfig, mode: str) -> list[tuple[Scenario, li
     else:
         raise ValueError(f"unknown mode {mode!r}")
     n = cfg.total_nodes
-    templates: list[tuple[Scenario, list[tuple[int, int, int]]]] = []
+    num_vertices = 2 + 2 * (n + cfg.k)
+    templates: list[tuple[Scenario, _LabelledGraph]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for sc in scenarios:
         profile = tuple(
@@ -442,8 +510,24 @@ def _scenario_templates(cfg: SystemConfig, mode: str) -> list[tuple[Scenario, li
         if profile in seen:
             continue
         seen.add(profile)
-        templates.append((sc, _scenario_arcs(cfg, sc)))
+        graph = _contract(num_vertices, _scenario_arcs(cfg, sc), 0, 1)
+        assert graph is not None  # every collector path crosses a newcomer's alpha arc
+        templates.append((sc, graph))
     return templates
+
+
+def _min_over_templates(
+    templates: Sequence[tuple[Scenario, _LabelledGraph]],
+    alpha: Fraction,
+    beta_e: Fraction,
+    tau: Fraction,
+) -> tuple[Fraction, Scenario]:
+    """Smallest template mincut at one point, with its scenario.
+
+    Ties go to the first template in enumeration order, which is deterministic.
+    """
+    weights = {_ALPHA: alpha, _CHEAP: tau * beta_e, _EXP: beta_e}
+    return min(((_max_flow(graph, weights), sc) for sc, graph in templates), key=lambda pair: pair[0])
 
 
 def oracle_min_mincut(
@@ -453,16 +537,7 @@ def oracle_min_mincut(
 
     Ties are resolved by enumeration order, which is deterministic.
     """
-    templates = _scenario_templates(cfg, mode)
-    num_vertices = 2 + 2 * (cfg.total_nodes + cfg.k)
-    best: Optional[Fraction] = None
-    witness: Optional[Scenario] = None
-    for scenario, template in templates:
-        value = _min_cut_of_template(num_vertices, template, alpha, beta_e, cfg.tau)
-        if best is None or value < best:
-            best, witness = value, scenario
-    assert best is not None and witness is not None
-    return best, witness
+    return _min_over_templates(_scenario_templates(cfg, mode), alpha, beta_e, cfg.tau)
 
 
 def analytic_min_cut(
@@ -552,23 +627,16 @@ def verify(
         raise ValueError("count must be at least 1")
     L = coeffs if coeffs is not None else rack_coeff_list(cfg)
     templates = _scenario_templates(cfg, mode)
-    num_vertices = 2 + 2 * (cfg.total_nodes + cfg.k)
 
     samples: list[SamplePoint] = []
     for beta_e, alpha in _sample_grid(cfg, L, count, seed):
-        best: Optional[Fraction] = None
-        witness: Optional[Scenario] = None
-        for scenario, template in templates:
-            value = _min_cut_of_template(num_vertices, template, alpha, beta_e, cfg.tau)
-            if best is None or value < best:
-                best, witness = value, scenario
-        assert best is not None and witness is not None
+        oracle, witness = _min_over_templates(templates, alpha, beta_e, cfg.tau)
         samples.append(
             SamplePoint(
                 beta_e=beta_e,
                 alpha=alpha,
                 analytic=analytic_min_cut(cfg, alpha, beta_e, coeffs=L),
-                oracle=best,
+                oracle=oracle,
                 witness=witness,
             )
         )

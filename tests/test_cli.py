@@ -185,6 +185,17 @@ def test_usage_error_exits_64(small_path):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_exhaustive_verify_over_guard_exits_64(capsys, fig7_path):
+    code, out, err = _run(
+        capsys,
+        ["verify", "--config", fig7_path, "--samples", "10", "--seed", "0", "--mode", "exhaustive"],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: exhaustive mode needs")
+    assert "Traceback" not in err
+
+
 def test_output_is_deterministic(capsys, fig7_path):
     _, first, _ = _run(capsys, ["curve", "--config", fig7_path, "--model", "rack"])
     _, second, _ = _run(capsys, ["curve", "--config", fig7_path, "--model", "rack"])

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racktradeoff.errors import Disconnected, EnumerationTooLarge, InvalidScenario
 from racktradeoff.flowgraph import (
+    _ALPHA,
+    _CHEAP,
+    _EXP,
     FlowGraph,
     Scenario,
+    _dinic,
+    _max_flow,
+    _scenario_templates,
     analytic_min_cut,
     build_flow_graph,
     candidate_rack_sequences,
@@ -18,6 +27,7 @@ from racktradeoff.flowgraph import (
     verify,
 )
 from racktradeoff.incomes import CoeffList, rack_coeff_list
+from racktradeoff.threshold import alpha_star, rack_curve
 
 from conftest import build_config
 
@@ -192,3 +202,104 @@ def test_known_gap_three_rack_leftovers(three_rack_config):
     assert report.mismatches
     assert all(s.oracle < s.analytic for s in report.mismatches)
     assert report.greedy_sum == report.exhaustive_sum
+
+
+def _explicit_max_flow(graph: FlowGraph) -> Fraction:
+    # the uncontracted reference: integer scaling, unbounded arcs at a
+    # surrogate above the sum of every finite capacity, then max-flow
+    finite = [c for _, _, c in graph.arcs if c is not None]
+    scale = math.lcm(*(c.denominator for c in finite))
+    surrogate = sum(int(c * scale) for c in finite) + 1
+    arcs = [(u, v, surrogate if c is None else int(c * scale)) for u, v, c in graph.arcs]
+    return Fraction(_dinic(graph.num_vertices, arcs, graph.source, graph.sink), scale)
+
+
+def _networkx_max_flow(graph: FlowGraph) -> Fraction:
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    for u, v, cap in graph.arcs:
+        assert not g.has_edge(u, v)
+        if cap is None:
+            g.add_edge(u, v)  # no capacity attribute: unbounded
+        else:
+            g.add_edge(u, v, capacity=cap)
+    return Fraction(nx.maximum_flow_value(g, graph.source, graph.sink))
+
+
+def _curve_points(cfg) -> list[tuple[Fraction, Fraction]]:
+    """Every knee, every knee midpoint, and a point below the curve at each."""
+    curve = rack_curve(cfg)
+    betas = sorted(beta for _, beta, _ in curve.knees)
+    betas += [(lo + hi) / 2 for lo, hi in zip(betas, betas[1:])]
+    points = []
+    for beta in betas:
+        alpha = alpha_star(curve, beta)
+        points += [(beta, alpha), (beta, alpha * 3 / 4)]
+    return points
+
+
+@pytest.mark.parametrize(
+    "k, d, racks, tau",
+    [
+        (4, 4, [(3, 1), (3, 2)], 2),
+        (3, 4, [(3, 1), (3, 2)], 3),
+        (3, 6, [(2, 1), (5, 4)], 2),
+        (4, 4, [(3, 0), (4, 3)], 3),
+        (4, 4, [(2, 1), (4, 2)], Fraction(3, 2)),
+        (2, 3, [(2, 1), (2, 1)], 1),
+    ],
+)
+def test_contraction_is_exact_on_every_template(k, d, racks, tau):
+    cfg = build_config(k, d, racks, tau)
+    for mode in ("structured", "exhaustive"):
+        for beta, alpha in _curve_points(cfg):
+            weights = {_ALPHA: alpha, _CHEAP: cfg.tau * beta, _EXP: beta}
+            for scenario, contracted in _scenario_templates(cfg, mode):
+                assert contracted[0] <= cfg.k + 2 and len(contracted[1]) <= 2 * cfg.k
+                value = _max_flow(contracted, weights)
+                graph = build_flow_graph(cfg, scenario, alpha, beta)
+                assert value == _explicit_max_flow(graph) == _networkx_max_flow(graph)
+
+
+_CAPS = st.one_of(st.none(), st.fractions(min_value=0, max_value=5, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _CAPS), max_size=12),
+    )
+))
+def test_min_cut_value_matches_explicit_max_flow(graph_spec):
+    # parallel arcs, self-loops and all-unbounded source->sink paths included
+    num_vertices, arcs = graph_spec
+    graph = FlowGraph(num_vertices=num_vertices, source=0, sink=1, arcs=tuple(arcs))
+    reached, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for a, b, _ in arcs:
+            if a == u and b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    if 1 not in reached:
+        with pytest.raises(Disconnected):
+            min_cut_value(graph)
+    else:
+        assert min_cut_value(graph) == _explicit_max_flow(graph)
+
+
+def test_verify_large_k_matches_cut_lemma():
+    # guaranteed family d = d_c^1 + d_c^2 + 1 with racks of d_c + 1 nodes:
+    # one template whose flow graph has 2 + 2(n + k) = 164 vertices
+    cfg = build_config(40, 40, [(20, 19), (21, 20)], 2)
+    report = verify(cfg, count=10, seed=5)
+    assert report.passed
+    n = cfg.total_nodes
+    for sample in report.samples:
+        incomes = [
+            cfg.tau * sum(1 for h in same if h < n) + sum(1 for h in cross if h < n)
+            for same, cross in sample.witness.helpers
+        ]
+        expected = sum((min(sample.alpha, c * sample.beta_e) for c in incomes), Fraction(0))
+        assert sample.oracle == expected

@@ -82,7 +82,9 @@ def _rack_of_original(cfg: SystemConfig, node: int) -> int:
     raise ValueError(f"node {node} out of range")
 
 
-def _scenario_arcs(cfg: SystemConfig, scenario: Scenario) -> list[tuple[int, int, int]]:
+def _scenario_arcs(
+    cfg: SystemConfig, scenario: Scenario
+) -> list[tuple[int, int, Optional[int]]]:
     """Arc template (u, v, kind) for a scenario, validating it along the way.
 
     Vertex layout: 0 = source, 1 = collector, node v gets inner 2 + 2v and
@@ -102,7 +104,7 @@ def _scenario_arcs(cfg: SystemConfig, scenario: Scenario) -> list[tuple[int, int
     def outer(v: int) -> int:
         return 3 + 2 * v
 
-    arcs: list[tuple[int, int, int]] = []
+    arcs: list[tuple[int, int, Optional[int]]] = []
     for v in range(n):
         arcs.append((0, inner(v), _INF))
         # Originals hold given data; only newcomer storage constrains the cut.
@@ -295,13 +297,7 @@ def _max_flow(
 
 
 def min_cut_value(graph: FlowGraph) -> Fraction:
-    """Exact max-flow value from source to collector.
-
-    Unbounded arcs are contracted away first (`_contract`). If the source
-    reaches the collector over unbounded arcs alone, the flow is taken on the
-    explicit graph with every unbounded arc at a finite surrogate exceeding
-    the sum of all finite capacities.
-    """
+    """Exact max-flow value from source to collector on the explicit graph."""
     adj: list[list[int]] = [[] for _ in range(graph.num_vertices)]
     for u, v, _ in graph.arcs:
         adj[u].append(v)
@@ -309,9 +305,6 @@ def min_cut_value(graph: FlowGraph) -> Fraction:
         raise Disconnected("no path from source to collector")
 
     weights = {c: c for _, _, c in graph.arcs if c is not None}
-    contracted = _contract(graph.num_vertices, graph.arcs, graph.source, graph.sink)
-    if contracted is not None:
-        return _max_flow(contracted, weights)
     explicit = [(u, v, ((c, 1),)) for u, v, c in graph.arcs]
     return _max_flow((graph.num_vertices, explicit), weights, graph.source, graph.sink)
 

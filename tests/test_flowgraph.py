@@ -14,6 +14,7 @@ from racktradeoff.flowgraph import (
     _EXP,
     FlowGraph,
     Scenario,
+    _contract,
     _dinic,
     _max_flow,
     _scenario_templates,
@@ -271,7 +272,7 @@ _CAPS = st.one_of(st.none(), st.fractions(min_value=0, max_value=5, max_denomina
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _CAPS), max_size=12),
     )
 ))
-def test_min_cut_value_matches_explicit_max_flow(graph_spec):
+def test_min_cut_value_and_contraction_match_explicit_max_flow(graph_spec):
     # parallel arcs, self-loops and all-unbounded source->sink paths included
     num_vertices, arcs = graph_spec
     graph = FlowGraph(num_vertices=num_vertices, source=0, sink=1, arcs=tuple(arcs))
@@ -286,7 +287,12 @@ def test_min_cut_value_matches_explicit_max_flow(graph_spec):
         with pytest.raises(Disconnected):
             min_cut_value(graph)
     else:
-        assert min_cut_value(graph) == _explicit_max_flow(graph)
+        expected = _explicit_max_flow(graph)
+        assert min_cut_value(graph) == expected
+        contracted = _contract(num_vertices, arcs, 0, 1)
+        if contracted is not None:  # None: an all-unbounded path, no finite cut
+            weights = {c: c for _, _, c in arcs if c is not None}
+            assert _max_flow(contracted, weights) == expected
 
 
 def test_verify_large_k_matches_cut_lemma():

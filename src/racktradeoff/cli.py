@@ -187,18 +187,21 @@ def _model_curve(model: str, cfg: SystemConfig) -> ThresholdCurve:
     return reference_curve(model, cfg)
 
 
-def _check_dominance(rack: ThresholdCurve, static: ThresholdCurve, cfg: SystemConfig) -> None:
+def _dominance_violation(
+    rack: ThresholdCurve, static: ThresholdCurve, cfg: SystemConfig
+) -> Optional[str]:
     # rack repairs are never more expensive than the static split at tau > 1
     if cfg.tau <= 1 or cfg.k <= cfg.cheap_degrees[0] + 1:
-        return
+        return None
     static_by_index = {s.index: s for s in static.segments}
     for seg in rack.segments:
         other = static_by_index.get(seg.index)
         if other is not None and seg.beta_lo > other.beta_lo:
-            raise AssertionError(
+            return (
                 f"dominance violated at segment {seg.index}: rack knee {seg.beta_lo} "
                 f"> static knee {other.beta_lo}"
             )
+    return None
 
 
 def _cmd_curve(args: argparse.Namespace, cfg: SystemConfig, out: TextIO) -> int:
@@ -236,11 +239,14 @@ def _cmd_compare(args: argparse.Namespace, cfg: SystemConfig, out: TextIO) -> in
         if model not in ("rack", "static", "basic"):
             raise SchemaError(f"unknown model {model!r}")
     curves = {model: _model_curve(model, cfg) for model in models}
-    if "rack" in curves and "static" in curves:
-        _check_dominance(curves["rack"], curves["static"], cfg)
     for model in models:
         out.write(f"# model={model}\n")
         out.write(_curve_csv(curves[model], cfg, "knees"))
+    if "rack" in curves and "static" in curves:
+        violation = _dominance_violation(curves["rack"], curves["static"], cfg)
+        if violation is not None:
+            print(f"mismatch: {violation}", file=sys.stderr)
+            return EXIT_MISMATCH
     return EXIT_OK
 
 

@@ -619,6 +619,10 @@ def verify(
     if count < 1:
         raise ValueError("count must be at least 1")
     L = coeffs if coeffs is not None else rack_coeff_list(cfg)
+    # the exhaustive audit refuses oversized block searches before any
+    # template, which enumerates the same 2^(s-1) subsets, is built
+    greedy_seq, greedy_audit = min_mincut_incomes(cfg, mode="greedy")
+    exhaustive_seq, exhaustive_audit = min_mincut_incomes(cfg, mode="exhaustive")
     templates = _scenario_templates(cfg, mode)
 
     samples: list[SamplePoint] = []
@@ -634,8 +638,6 @@ def verify(
             )
         )
 
-    greedy_seq, greedy_audit = min_mincut_incomes(cfg, mode="greedy")
-    exhaustive_seq, exhaustive_audit = min_mincut_incomes(cfg, mode="exhaustive")
     return VerificationReport(
         samples=tuple(samples),
         candidate_audit=tuple(greedy_audit + exhaustive_audit),

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from itertools import accumulate, combinations
+from typing import Collection, Iterable
 
 from .config import SystemConfig
-from .errors import EmptyCoeffList, EmptyIncome, NotTwoRack
+from .errors import EmptyCoeffList, EmptyIncome, EnumerationTooLarge, NotTwoRack
 
 __all__ = [
     "IncomeTerm",
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+
+# exhaustive block audits examine 2^(s-1) subsets; above this they are refused
+_EXHAUSTIVE_MAX_SUBSETS = 2**16
 
 
 @dataclass(frozen=True)
@@ -154,35 +157,97 @@ def involved_rack_count(cfg: SystemConfig) -> int:
     return cfg.num_racks
 
 
-def _rack_blocks(cfg: SystemConfig) -> list[tuple[list[Fraction], list[Fraction]]]:
-    """(main block, leftover block) coefficients per rack, clamped at zero."""
-    tau = cfg.tau
-    out = []
-    for j in range(cfg.num_racks):
-        dc, de, nodes = cfg.cheap_degrees[j], cfg.expensive_degrees[j], cfg.racks[j].nodes
-        off = de - _block_offset(cfg, j)
-        main = [max(Fraction(dc - i) * tau + off, _ZERO) for i in range(dc + 1)]
-        leftover = [max(Fraction(off), _ZERO)] * (nodes - dc - 1)
-        out.append((main, leftover))
-    return out
+def _scaled_rack(cfg: SystemConfig, j: int, limit: int) -> tuple[list[int], int, int]:
+    """Rack j's income coefficients times tau's denominator, clamped at zero.
+
+    Returns the first min(d_c^j + 1, limit) main-block coefficients, the one
+    coefficient every leftover newcomer shares, and the leftover block's length
+    nodes - d_c^j - 1. Scaled coefficients are integers, so sums are exact.
+    """
+    p, q = cfg.tau.numerator, cfg.tau.denominator
+    dc = cfg.cheap_degrees[j]
+    off = cfg.expensive_degrees[j] - _block_offset(cfg, j)
+    main = [max((dc - i) * p + off * q, 0) for i in range(min(dc + 1, limit))]
+    return main, max(off, 0) * q, cfg.racks[j].nodes - dc - 1
 
 
 def general_income_pool(cfg: SystemConfig) -> tuple[IncomeSequence, list[IncomeSequence], int]:
     """All n newcomer incomes in construction order plus the leftover blocks.
 
     Returns the pool, the per-rack leftover blocks, and the involved-rack
-    count s.
+    count s. This is the one function whose work grows with rack size.
     """
-    blocks = _rack_blocks(cfg)
+    q = cfg.tau.denominator
     terms: list[IncomeTerm] = []
     leftovers: list[IncomeSequence] = []
-    for j, (main, leftover) in enumerate(blocks):
-        terms += _terms(main, rack=j, start=len(terms))
-        block_terms = _terms(leftover, rack=j, start=len(terms))
+    for j, rack in enumerate(cfg.racks):
+        main, leftover, spare = _scaled_rack(cfg, j, rack.nodes)
+        terms += _terms((Fraction(c, q) for c in main), rack=j, start=len(terms))
+        block_terms = _terms([Fraction(leftover, q)] * spare, rack=j, start=len(terms))
         terms += block_terms
         leftovers.append(IncomeSequence(terms=tuple(block_terms), origin=f"I^{j + 1}"))
     pool = IncomeSequence(terms=tuple(terms), origin="I'")
     return pool, leftovers, involved_rack_count(cfg)
+
+
+# (main block, main-block terms of this rack and every rack before it,
+# leftover coefficient, leftover count); a plain tuple, because building a
+# dataclass at import time adds to the start-up of every CLI call
+_Block = tuple[tuple[int, ...], int, int, int]
+
+
+def _blocks(cfg: SystemConfig) -> tuple[list[_Block], list[int]]:
+    """Each involved rack's first k incomes, scaled as in `_scaled_rack`, and
+    the running sums of their main blocks in construction order.
+
+    Every candidate's first k terms lie in the involved racks' blocks.
+    """
+    blocks: list[_Block] = []
+    mains: list[int] = []
+    for j in range(involved_rack_count(cfg)):
+        main, leftover, spare = _scaled_rack(cfg, j, cfg.k)
+        mains += main
+        blocks.append((tuple(main), len(mains), leftover, spare))
+    return blocks, list(accumulate(mains, initial=0))
+
+
+def _truncated_total(
+    blocks: list[_Block], main_sums: list[int], k: int, included: tuple[int, ...]
+) -> int:
+    """Scaled sum of a candidate's first k incomes in O(len(included)) steps.
+
+    Every main block is in the candidate, so its first k terms are the
+    leftover terms that start before position k plus the first k - (that
+    many) main-block terms. `included` must be ascending.
+    """
+    extra = total = 0
+    for j in included:
+        _, end, leftover, spare = blocks[j - 1]
+        room = k - end - extra
+        if room <= 0:
+            break
+        take = min(spare, room)
+        total += leftover * take
+        extra += take
+    return total + main_sums[min(k - extra, len(main_sums) - 1)]
+
+
+def _candidate(cfg: SystemConfig, blocks: list[_Block], included: Collection[int]) -> IncomeSequence:
+    """The k-term incomes of the candidate that includes the leftover blocks `included`."""
+    q = cfg.tau.denominator
+    coeffs: list[tuple[int, int]] = []
+    for j, (main, _, leftover, spare) in enumerate(blocks):
+        coeffs += [(c, j) for c in main]
+        if (j + 1) in included:
+            coeffs += [(leftover, j)] * min(spare, cfg.k)
+        if len(coeffs) >= cfg.k:
+            break
+    label = "I'_{" + ",".join(str(j) for j in sorted(included)) + "}"
+    terms = tuple(
+        IncomeTerm(coeff=Fraction(c, q), rack=rack, ordinal=i)
+        for i, (c, rack) in enumerate(coeffs[: cfg.k])
+    )
+    return IncomeSequence(terms=terms, origin=label)
 
 
 def candidate_sequence(cfg: SystemConfig, included: Iterable[int]) -> IncomeSequence:
@@ -197,17 +262,7 @@ def candidate_sequence(cfg: SystemConfig, included: Iterable[int]) -> IncomeSequ
     for j in included_set:
         if not 1 <= j <= s - 1:
             raise IndexError(f"included block {j} outside 1..{s - 1}")
-    blocks = _rack_blocks(cfg)
-    coeffs: list[tuple[Fraction, int]] = []
-    for j, (main, leftover) in enumerate(blocks):
-        coeffs += [(c, j) for c in main]
-        if (j + 1) in included_set:
-            coeffs += [(c, j) for c in leftover]
-    label = "I'_{" + ",".join(str(j) for j in sorted(included_set)) + "}"
-    terms = tuple(
-        IncomeTerm(coeff=c, rack=rack, ordinal=i) for i, (c, rack) in enumerate(coeffs[: cfg.k])
-    )
-    return IncomeSequence(terms=terms, origin=label)
+    return _candidate(cfg, _blocks(cfg)[0], included_set)
 
 
 def min_mincut_incomes(
@@ -219,22 +274,31 @@ def min_mincut_incomes(
     lowers the truncated income sum. Exhaustive enumerates every subset; ties
     go to fewer included blocks, then to the lexicographically lowest subset.
     Returns the winning sequence plus an audit of every (subset, sum) examined.
+    Raises EnumerationTooLarge when exhaustive mode would examine more than
+    _EXHAUSTIVE_MAX_SUBSETS subsets.
     """
     if mode not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     s = involved_rack_count(cfg)
+    if mode == "exhaustive" and 2 ** (s - 1) > _EXHAUSTIVE_MAX_SUBSETS:
+        raise EnumerationTooLarge(
+            f"exhaustive block audit needs 2^{s - 1} subsets, over the limit of "
+            f"{_EXHAUSTIVE_MAX_SUBSETS}"
+        )
+    blocks, main_sums = _blocks(cfg)
+    q = cfg.tau.denominator
     audit: list[tuple[tuple[int, ...], Fraction]] = []
 
-    def examined(subset: frozenset[int]) -> Fraction:
-        total = candidate_sequence(cfg, subset).total()
-        audit.append((tuple(sorted(subset)), total))
+    def examined(subset: tuple[int, ...]) -> int:
+        total = _truncated_total(blocks, main_sums, cfg.k, subset)
+        audit.append((subset, Fraction(total, q)))
         return total
 
     if mode == "greedy":
-        included = frozenset(range(1, s))
+        included = tuple(range(1, s))
         best = examined(included)
         for j in range(1, s):
-            dropped = included - {j}
+            dropped = tuple(i for i in included if i != j)
             total = examined(dropped)
             if total < best:
                 included, best = dropped, total
@@ -242,12 +306,10 @@ def min_mincut_incomes(
     else:
         ranked = []
         for size in range(s):
-            for combo in combinations(range(1, s), size):
-                subset = frozenset(combo)
-                total = examined(subset)
-                ranked.append((total, len(subset), tuple(sorted(subset)), subset))
-        winner = min(ranked)[3]
-    return candidate_sequence(cfg, winner), audit
+            for subset in combinations(range(1, s), size):
+                ranked.append((examined(subset), size, subset))
+        winner = min(ranked)[2]
+    return _candidate(cfg, blocks, winner), audit
 
 
 def trim_bound(cfg: SystemConfig) -> Fraction:

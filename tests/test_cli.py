@@ -196,6 +196,46 @@ def test_exhaustive_verify_over_guard_exits_64(capsys, fig7_path):
     assert "Traceback" not in err
 
 
+def test_compare_dominance_violation_exits_3(capsys, tmp_path):
+    # k=4 over racks of 3 and 4 nodes with d_c = 0 and 2: the rack curve's
+    # first knee sits right of the static split's
+    doc = dict(
+        SMALL,
+        tau="3/2",
+        racks=[{"nodes": 3, "cheap_degree": 0}, {"nodes": 4, "cheap_degree": 2}],
+    )
+    path = tmp_path / "dominance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, ["compare", "--config", str(path), "--models", "rack,static,basic"])
+    assert code == EXIT_MISMATCH
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        "# model=rack",
+        "# model=static",
+        "# model=basic",
+    ]
+    assert err == "mismatch: dominance violated at segment 1: rack knee 2/9 > static knee 1/7\n"
+
+
+def test_exhaustive_block_audit_over_guard_exits_64(capsys, tmp_path, monkeypatch):
+    # 20 racks of 3 nodes with d_c = 1: k = 35 involves s = 18 racks, and the
+    # block audit would examine 2^17 subsets
+    doc = dict(SMALL, k=35, d=36, racks=[{"nodes": 3, "cheap_degree": 1}] * 20)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def no_templates(cfg, mode):
+        raise AssertionError("scenario templates built before the audit guard")
+
+    monkeypatch.setattr("racktradeoff.flowgraph._scenario_templates", no_templates)
+    code, out, err = _run(
+        capsys,
+        ["verify", "--config", str(path), "--samples", "1", "--seed", "0", "--mode", "structured"],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: exhaustive block audit needs 2^17 subsets")
+
+
 def test_output_is_deterministic(capsys, fig7_path):
     _, first, _ = _run(capsys, ["curve", "--config", fig7_path, "--model", "rack"])
     _, second, _ = _run(capsys, ["curve", "--config", fig7_path, "--model", "rack"])

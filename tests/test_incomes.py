@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from racktradeoff.errors import EmptyCoeffList, EmptyIncome, NotTwoRack
+from racktradeoff.errors import EmptyCoeffList, EmptyIncome, EnumerationTooLarge, NotTwoRack
 from racktradeoff.incomes import (
     CoeffList,
     IncomeSequence,
@@ -19,6 +20,7 @@ from racktradeoff.incomes import (
     two_rack_components,
     two_rack_min_incomes,
 )
+from racktradeoff.threshold import rack_curve
 
 from conftest import build_config
 
@@ -156,6 +158,50 @@ def test_greedy_and_exhaustive_pick_best_block(three_rack_config):
 def test_min_mincut_rejects_unknown_mode(example1):
     with pytest.raises(ValueError, match="mode"):
         min_mincut_incomes(example1, mode="fast")
+
+
+def _racks_of_three(count: int, involved: int, tau=2):
+    # racks of 3 nodes with d_c = 1, k chosen so that `involved` racks are involved
+    k = 2 * (involved - 1) + 1
+    return build_config(k, k + 1, [(3, 1)] * count, tau)
+
+
+def test_exhaustive_audit_guard():
+    at_limit = _racks_of_three(18, 17)
+    assert involved_rack_count(at_limit) == 17
+    _, audit = min_mincut_incomes(at_limit, mode="exhaustive")
+    assert len(audit) == 2**16
+    over = _racks_of_three(20, 18)
+    with pytest.raises(EnumerationTooLarge, match="2\\^17 subsets"):
+        min_mincut_incomes(over, mode="exhaustive")
+    # greedy examines s subsets and has no guard
+    _, greedy_audit = min_mincut_incomes(over, mode="greedy")
+    assert len(greedy_audit) == 18
+
+
+def test_selection_work_is_independent_of_rack_size():
+    def config(nodes):
+        return build_config(5, 6, [(nodes, 2), (nodes, 3), (nodes, 3)], 2)
+
+    small, big = config(10**3), config(10**6)
+    expected = (
+        rack_curve(small),
+        min_mincut_incomes(small, mode="greedy"),
+        min_mincut_incomes(small, mode="exhaustive"),
+    )
+    tracemalloc.start()
+    try:
+        got = (
+            rack_curve(big),
+            min_mincut_incomes(big, mode="greedy"),
+            min_mincut_incomes(big, mode="exhaustive"),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    # full-length leftover blocks would hold 3 * 10^6 references (24 MB)
+    assert peak < 2**20
 
 
 def test_general_selection_matches_two_rack_rule(example1, example2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,11 @@ from racktradeoff.config import SystemConfig
 from racktradeoff.errors import InvalidConfig
 from racktradeoff.flowgraph import FlowGraph, analytic_min_cut, min_cut_value
 from racktradeoff.incomes import (
+    IncomeSequence,
+    IncomeTerm,
+    candidate_sequence,
     feasibility_trim,
+    involved_rack_count,
     min_mincut_incomes,
     rack_coeff_list,
     trim_bound,
@@ -117,6 +122,75 @@ def test_greedy_matches_exhaustive_sum(cfg):
     greedy, _ = min_mincut_incomes(cfg, mode="greedy")
     exhaustive, _ = min_mincut_incomes(cfg, mode="exhaustive")
     assert greedy.total() == exhaustive.total()
+
+
+@st.composite
+def wide_rack_configs(draw) -> SystemConfig:
+    # 2-6 racks of up to 50 nodes; small cheap degrees make k reach past several racks
+    r = draw(st.integers(2, 6))
+    racks = []
+    for _ in range(r):
+        nodes = draw(st.integers(1, 50))
+        racks.append((nodes, draw(st.integers(0, min(nodes - 1, 5)))))
+    n = sum(nodes for nodes, _ in racks)
+    lo = max(dc for _, dc in racks) + 1
+    hi = min(min(n - nodes + dc for nodes, dc in racks), n - 1)
+    assume(lo <= hi)
+    d = draw(st.integers(lo, hi))
+    k = d - draw(st.integers(0, d - 1))  # shrinks toward k = d, past the most blocks
+    tau = draw(st.sampled_from(TAUS + (F(11, 5), F(7))))
+    return build_config(k, d, racks, tau)
+
+
+def _reference_candidate(cfg: SystemConfig, subset) -> IncomeSequence:
+    # the block rule written out: full-length blocks, concatenated, truncated to k
+    coeffs, offset = [], 0
+    for j, rack in enumerate(cfg.racks):
+        dc, off = cfg.cheap_degrees[j], cfg.expensive_degrees[j] - offset
+        coeffs += [(max((dc - i) * cfg.tau + off, F(0)), j) for i in range(dc + 1)]
+        if j + 1 in subset:
+            coeffs += [(max(F(off), F(0)), j)] * (rack.nodes - dc - 1)
+        offset += dc + 1
+    return IncomeSequence(
+        terms=tuple(IncomeTerm(coeff=c, rack=j, ordinal=i) for i, (c, j) in enumerate(coeffs[: cfg.k])),
+        origin="I'_{" + ",".join(str(j) for j in sorted(subset)) + "}",
+    )
+
+
+def _reference_selection(cfg: SystemConfig, mode: str):
+    s = involved_rack_count(cfg)
+    audit = []
+
+    def examined(subset):
+        total = _reference_candidate(cfg, subset).total()
+        audit.append((subset, total))
+        return total
+
+    if mode == "greedy":
+        winner = tuple(range(1, s))
+        best = examined(winner)
+        for j in range(1, s):
+            dropped = tuple(i for i in winner if i != j)
+            total = examined(dropped)
+            if total < best:
+                winner, best = dropped, total
+    else:
+        ranked = [
+            (examined(subset), size, subset)
+            for size in range(s)
+            for subset in combinations(range(1, s), size)
+        ]
+        winner = min(ranked)[2]
+    return _reference_candidate(cfg, winner), audit
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rack_configs(), st.sampled_from(("greedy", "exhaustive")))
+def test_block_selection_matches_full_length_reference(cfg, mode):
+    winner, audit = _reference_selection(cfg, mode)
+    assert min_mincut_incomes(cfg, mode=mode) == (winner, audit)
+    for subset, _ in audit:
+        assert candidate_sequence(cfg, subset) == _reference_candidate(cfg, subset)
 
 
 @settings(max_examples=60, deadline=None)
